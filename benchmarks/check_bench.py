@@ -14,6 +14,12 @@ located and two checks run:
 * ``cold_s`` must stay within ``(1 + tolerance)`` of the baseline's —
   the absolute wall-time gate.  Warm time is reported but not gated
   (dominated by process startup and disk cache noise at CI scale).
+* if the entry carries ``min_events_per_s``, the record's simulated
+  events per second (``events_per_s``: trace records the engine ran,
+  per second inside the simulator) must stay above
+  ``(1 - tolerance)`` of it — the engine-throughput floor, which a
+  regression in the event path trips even when fixed overheads hide
+  it in the wall time.
 * if the entry carries ``max_ratio``, the record's own
   ``cold_s / per_cell_s`` (fig7-sweep) or ``cold_s / serial_s``
   (fig7-par) must not exceed it — the win is enforced relative to the
@@ -104,6 +110,22 @@ def _check_entry(entry: dict, tolerance: float) -> int:
         )
     rc = 0 if verdict == "OK" else 1
 
+    floor = entry.get("min_events_per_s")
+    if floor is not None:
+        rate = record.get("events_per_s")
+        minimum = float(floor) * (1.0 - tolerance)
+        rate_verdict = (
+            "OK" if rate is not None and float(rate) >= minimum
+            else "REGRESSION"
+        )
+        print(
+            f"  events/s: {float(rate or 0):,.0f} vs floor "
+            f"{float(floor):,.0f} (minimum {minimum:,.0f} at "
+            f"-{tolerance:.0%}) -> {rate_verdict}"
+        )
+        if rate_verdict != "OK":
+            rc = 1
+
     max_ratio = entry.get("max_ratio")
     denominator = record.get("per_cell_s") or record.get("serial_s")
     if max_ratio is not None and denominator:
@@ -188,6 +210,10 @@ def _update(entries: "list[dict]", baseline_path: str) -> int:
             fresh["cpus"] = record["cpus"]
         if entry.get("max_ratio") is not None:
             fresh["max_ratio"] = entry["max_ratio"]
+        if entry.get("min_events_per_s") is not None:
+            fresh["min_events_per_s"] = (
+                record.get("events_per_s") or entry["min_events_per_s"]
+            )
         fresh_entries.append(fresh)
         print(
             f"baseline entry {fresh['mode']}/{fresh['experiment']}"

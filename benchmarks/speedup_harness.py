@@ -5,7 +5,7 @@ session cache, cold imports):
 
 * **seed-vs-new** (default) — the seed path (current tree pinned to the
   scalar engine with caching disabled, or ``--baseline-repo PATH`` for
-  a genuine seed checkout) against the batched engine + memoizing
+  a genuine seed checkout) against the native engine + memoizing
   session + runner defaults of the current tree.
 * **store** (``--store``) — a *cold* run of one experiment populating
   the on-disk artifact store, then a *warm* run in a new process served
@@ -35,7 +35,10 @@ Every invocation appends a human-readable line to
 ``benchmarks/output/speedup.txt`` **and** writes a machine-readable
 ``benchmarks/output/BENCH_<stamp>.json`` (per-figure wall-clock plus
 cache hit counters) so the performance trajectory is trackable across
-PRs and CI uploads it as a workflow artifact.
+PRs and CI uploads it as a workflow artifact.  Records also carry the
+engine's simulated events per second (``events_per_s``: trace records
+simulated, warm-up included, per second spent inside the simulator,
+summed over worker processes), per figure in ``--suite`` mode.
 
 Examples::
 
@@ -82,11 +85,22 @@ print("ELAPSED", time.perf_counter() - t0)
 _RUN_SUITE = """
 import time
 from repro.experiments import EXPERIMENTS
+def _events():
+    try:
+        from repro.sim.session import get_session
+        stats = get_session().stats
+        return stats.sim_events, stats.sim_seconds
+    except Exception:  # a tree without the event counters
+        return None
 t0 = time.perf_counter()
 for name in sorted(EXPERIMENTS):
     t1 = time.perf_counter()
+    before = _events()
     EXPERIMENTS[name](scale={scale!r})
     print("PER", name, time.perf_counter() - t1)
+    after = _events()
+    if before is not None:
+        print("EVENTS", name, after[0] - before[0], after[1] - before[1])
 print("ELAPSED", time.perf_counter() - t0)
 """ + _STATS_TAIL
 
@@ -180,7 +194,9 @@ print("ELAPSED", time.perf_counter() - t0)
 
 def _measure(
     code: str, src: str, env_overrides: dict
-) -> "tuple[float, dict[str, float], dict]":
+) -> "tuple[float, dict[str, float], dict, dict[str, float]]":
+    """Run ``code``; (elapsed, per-figure seconds, session stats,
+    per-figure events/s)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -195,6 +211,7 @@ def _measure(
     ).stdout
     elapsed = None
     per: "dict[str, float]" = {}
+    events: "dict[str, float]" = {}
     stats: dict = {}
     for line in output.splitlines():
         if line.startswith("ELAPSED"):
@@ -202,11 +219,23 @@ def _measure(
         elif line.startswith("PER"):
             _, name, value = line.split()
             per[name] = float(value)
+        elif line.startswith("EVENTS"):
+            _, name, count, seconds = line.split()
+            if float(seconds) > 0:
+                events[name] = int(count) / float(seconds)
         elif line.startswith("STATS "):
             stats = json.loads(line[len("STATS "):])
     if elapsed is None:
         raise RuntimeError(f"no ELAPSED line in output:\n{output}")
-    return elapsed, per, stats
+    return elapsed, per, stats, events
+
+
+def _events_per_s(stats: dict) -> "float | None":
+    """The engine's simulated events per second in one leg's stats."""
+    seconds = stats.get("sim_seconds", 0.0)
+    if not seconds:
+        return None
+    return stats.get("sim_events", 0) / seconds
 
 
 def _hit_rate(stats: dict) -> "float | None":
@@ -260,9 +289,11 @@ def _run_store_mode(args: argparse.Namespace, code: str, label: str) -> int:
     env = {"REPRO_STORE_DIR": store_dir, "REPRO_SIM_CACHE": "1"}
 
     print(f"store tier, {label} at scale={args.scale} ...")
-    cold, cold_per, cold_stats = _measure(code, src, env)
-    print(f"  cold (empty store): {cold:.1f}s")
-    warm, warm_per, warm_stats = _measure(code, src, env)
+    cold, cold_per, cold_stats, _ = _measure(code, src, env)
+    events_per_s = _events_per_s(cold_stats)
+    print(f"  cold (empty store): {cold:.1f}s ({events_per_s or 0:,.0f} "
+          "events/s)")
+    warm, warm_per, warm_stats, _ = _measure(code, src, env)
     ratio = cold / warm if warm > 0 else float("inf")
     print(
         f"  warm (new process, same store): {warm:.2f}s ({ratio:.1f}x)"
@@ -290,6 +321,7 @@ def _run_store_mode(args: argparse.Namespace, code: str, label: str) -> int:
             "cold_s": cold,
             "warm_s": warm,
             "speedup": ratio,
+            "events_per_s": events_per_s,
             "cold_per_figure": cold_per,
             "warm_per_figure": warm_per,
             "cold_stats": cold_stats,
@@ -306,7 +338,7 @@ def _measure_wall(
 ) -> "tuple[float, dict]":
     """Like :func:`_measure`, but wall-clock including process startup."""
     t0 = time.perf_counter()
-    _, _, stats = _measure(code, src, env_overrides)
+    _, _, stats, _ = _measure(code, src, env_overrides)
     return time.perf_counter() - t0, stats
 
 
@@ -399,6 +431,7 @@ def _run_fig7_sweep(args: argparse.Namespace) -> int:
             "ratio": ratio,
             "speedup": speedup,
             "per_cell_walls": per_cell,
+            "events_per_s": _events_per_s(grouped_stats),
             "grouped_stats": grouped_stats,
         },
     )
@@ -485,6 +518,7 @@ def _run_fig7_par(args: argparse.Namespace) -> int:
             "cold_s": parallel,
             "serial_s": serial,
             "ratio": ratio,
+            "events_per_s": _events_per_s(parallel_stats),
             "serial_stats": serial_stats,
             "parallel_stats": parallel_stats,
         },
@@ -665,15 +699,18 @@ def main(argv=None) -> int:
         seed_label = "current tree, scalar engine, no cache, serial"
 
     print(f"timing {label} at scale={args.scale} ...")
-    seed_elapsed, seed_per, _ = _measure(code, seed_src, seed_env)
+    seed_elapsed, seed_per, seed_stats, seed_events = _measure(
+        code, seed_src, seed_env
+    )
     print(f"  seed path [{seed_label}]: {seed_elapsed:.1f}s")
-    new_elapsed, new_per, new_stats = _measure(
+    new_elapsed, new_per, new_stats, new_events = _measure(
         code,
         os.path.join(ROOT, "src"),
         {"REPRO_SIM_CACHE": "1", "REPRO_STORE_DIR": ""},
     )
-    print(f"  new stack [batched engine + session + runner]: "
-          f"{new_elapsed:.1f}s")
+    events_per_s = _events_per_s(new_stats)
+    print(f"  new stack [native engine + session + runner]: "
+          f"{new_elapsed:.1f}s ({events_per_s or 0:,.0f} events/s)")
     ratio = seed_elapsed / new_elapsed if new_elapsed > 0 else float("inf")
     print(f"  wall-clock reduction: {ratio:.2f}x")
 
@@ -689,10 +726,17 @@ def main(argv=None) -> int:
                 "seed_s": seed_per[name],
                 "new_s": new_per[name],
                 "speedup": per_ratio,
+                "seed_events_per_s": seed_events.get(name),
+                "new_events_per_s": new_events.get(name),
             }
             line = (
                 f"    {name}: {seed_per[name]:.1f}s -> "
-                f"{new_per[name]:.1f}s ({per_ratio:.2f}x)"
+                f"{new_per[name]:.1f}s ({per_ratio:.2f}x"
+                + (
+                    f", {new_events[name]:,.0f} events/s"
+                    if name in new_events else ""
+                )
+                + ")"
             )
             print(line)
             lines.append(line)
@@ -708,6 +752,8 @@ def main(argv=None) -> int:
             "new_s": new_elapsed,
             "speedup": ratio,
             "per_figure": per_figure,
+            "events_per_s": events_per_s,
+            "seed_events_per_s": _events_per_s(seed_stats),
             "new_stats": new_stats,
             "new_hit_rate": _hit_rate(new_stats),
         },

@@ -48,7 +48,7 @@ def stacked_metadata_arrays(
     over the trace instead of one per cell.  Values are ``int64``
     per-core NumPy arrays (geometries sharing ``tag_bits`` share the
     *same* tag array objects); :func:`stacked_metadata_columns` wraps
-    this with the native-list conversion the batched engine consumes,
+    this with the native-list conversion the native engine driver consumes,
     and the shared-memory trace plane exports the arrays directly.
     """
     unique = [g for g in dict.fromkeys(geometries)]
@@ -96,7 +96,7 @@ def stacked_metadata_columns(
     geometry's columns are element-for-element what the per-cell
     :meth:`IndexTable.bucket_of_array` / :meth:`IndexTable.tag_of_array`
     produce (the sweep differential tests pin this), in the list form
-    the batched engine consumes.
+    the native engine driver consumes.
     """
     arrays = stacked_metadata_arrays(blocks_arrays, geometries)
     out: "dict[tuple[int, int | None], tuple[list, list | None]]" = {}
@@ -211,7 +211,7 @@ class IndexTable:
     def probe(self, bucket_index: int, tag: int) -> "HistoryPointer | None":
         """:meth:`lookup` with the hash and tag already computed.
 
-        The batched engine pre-classifies whole trace columns into
+        The native engine pre-classifies whole trace columns into
         buckets/tags (see :meth:`bucket_of_array`) and probes with the
         precomputed values; state effects and stats are identical to
         :meth:`lookup`.

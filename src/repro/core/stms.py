@@ -138,7 +138,7 @@ class StmsPrefetcher(TemporalPrefetcher):
     ) -> "tuple[list, list]":
         """Pre-classify whole block columns into index buckets and tags.
 
-        The batched engine hands in one NumPy block column per core and
+        The native engine hands in one NumPy block column per core and
         gets back native-typed bucket/tag columns, computed in one
         vectorized pass each, to feed :meth:`on_demand_miss_hashed` and
         :meth:`_prefetch_hit_hashed` — the scalar per-record hash

@@ -61,25 +61,47 @@ class SimConfig:
     #: Collect the per-core off-chip read-miss address sequence during
     #: the measured phase (offline temporal-stream analysis, Fig. 6).
     collect_miss_log: bool = False
-    #: Execution engine: ``"batch"`` (vectorized segment classification,
-    #: the default), ``"scalar"`` (the reference implementation), or
-    #: ``"auto"`` (the ``REPRO_SIM_ENGINE`` environment variable, then
-    #: ``"batch"``).  Both engines produce identical results; the
-    #: equivalence is enforced by ``tests/sim/test_engine_equivalence``.
+    #: Execution engine: ``"native"`` (the compiled event kernel in
+    #: :mod:`repro.sim.native`, the default), ``"scalar"`` (the Python
+    #: reference implementation), or ``"auto"`` (the ``REPRO_SIM_ENGINE``
+    #: environment variable, then ``"native"``).  Both engines produce
+    #: identical results (``tests/sim/test_engine_equivalence`` and
+    #: ``test_engine_differential``); ``native`` falls back to ``scalar``,
+    #: with one warning per process, when the kernel cannot be built.
     engine: str = "auto"
 
 
 def resolve_engine(engine: str) -> str:
-    """Map an engine request to a concrete engine name."""
+    """Map an engine request to the engine name it asks for."""
     if engine == "auto":
-        engine = os.environ.get("REPRO_SIM_ENGINE", "batch")
+        engine = os.environ.get("REPRO_SIM_ENGINE", "native")
         if engine == "auto":
-            engine = "batch"
-    if engine not in ("batch", "batch-tag", "scalar"):
-        raise ValueError(
-            f"unknown engine {engine!r} (batch/batch-tag/scalar/auto)"
-        )
+            engine = "native"
+    if engine not in ("native", "scalar"):
+        raise ValueError(f"unknown engine {engine!r} (native/scalar/auto)")
     return engine
+
+
+def active_engine(engine: str = "auto") -> str:
+    """The engine a simulation with this request actually runs.
+
+    ``"native"`` only when the kernel is built and loaded; a failed
+    build degrades to ``"scalar"`` (and warns once).
+    """
+    if resolve_engine(engine) == "scalar":
+        return "scalar"
+    from repro.sim.native import kernel
+
+    return "native" if kernel() is not None else "scalar"
+
+
+def run_state_class(engine: str = "auto") -> type:
+    """The run-state class a simulation with this request runs on."""
+    if active_engine(engine) == "native":
+        from repro.sim.native import NativeRunState
+
+        return NativeRunState
+    return _RunState
 
 
 class Simulator:
@@ -98,7 +120,7 @@ class Simulator:
         """Simulate ``trace``, optionally with a temporal prefetcher.
 
         ``shared`` is a sweep invocation's precomputation handle (see
-        :class:`repro.sim.sweep.SweepShared`): the batched engines pull
+        :class:`repro.sim.sweep.SweepShared`): the native engine pulls
         grid-shared metadata classifications from it instead of
         re-deriving them per cell.  It is a pure compute shortcut —
         results are bit-identical with or without it — and the scalar
@@ -109,18 +131,9 @@ class Simulator:
                 f"trace has {trace.cores} cores but the machine only "
                 f"{self.config.cmp.cores}"
             )
-        engine = resolve_engine(self.config.engine)
-        if engine == "scalar":
-            state = _RunState(self.config, trace, temporal_factory)
-        else:
-            from repro.sim.batch import BatchRunState, TagBatchRunState
-
-            state_class = (
-                TagBatchRunState if engine == "batch-tag" else BatchRunState
-            )
-            state = state_class(
-                self.config, trace, temporal_factory, shared=shared
-            )
+        state = run_state_class(self.config.engine)(
+            self.config, trace, temporal_factory, shared=shared
+        )
         state.run_warmup()
         state.reset_accounting()
         state.run_measured()
@@ -130,10 +143,6 @@ class Simulator:
 class _RunState:
     """All mutable state of one simulation run (the scalar reference)."""
 
-    #: L1 model the hierarchy is built with ("dict" = scalar reference;
-    #: the batched engine overrides this with the NumPy tag arrays).
-    L1_KIND = "dict"
-
     __slots__ = ('config', 'trace', 'traffic', 'hierarchy', 'dram', 'mshrs', 'stride', 'temporal', 'coverage', 'core_coverage', 'mlp', 'miss_log', 'outstanding', 'clocks', 'cursors', 'measure_start', 'measure_cursor', 'measured_records', 'measuring', 'demand_priority')
 
     def __init__(
@@ -141,13 +150,14 @@ class _RunState:
         config: SimConfig,
         trace: Trace,
         temporal_factory: "TemporalFactory | None",
+        shared: "object | None" = None,
     ) -> None:
+        # ``shared`` (a sweep's precomputation) only speeds the native
+        # engine up; the reference derives everything itself.
         self.config = config
         self.trace = trace
         self.traffic = TrafficMeter(cores=max(1, trace.cores))
-        self.hierarchy = CmpHierarchy(
-            config.cmp, self.traffic, l1_kind=self.L1_KIND
-        )
+        self.hierarchy = CmpHierarchy(config.cmp, self.traffic)
         self.dram = DramChannel(config.dram)
         self.mshrs = MshrFile(config.cmp.l2_mshrs)
         self.stride: Optional[StridePrefetcher] = (

@@ -139,17 +139,18 @@ def snapshot_run_state(state) -> dict:
     """Deep snapshot of one engine run's observable machine state.
 
     Captures everything the differential-equivalence suite compares
-    between the scalar reference engine and the batched engines: per-core
+    between the scalar reference engine and the native engine: per-core
     clocks and cursors, cache/victim contents and counters, traffic
-    bytes per category (which the batched path accumulates from segment
-    sums), DRAM and MSHR state, stride-prefetcher tables, and — when the
+    bytes per category (which the native kernel accumulates on its side
+    and merges at each phase end), DRAM and MSHR state,
+    stride-prefetcher tables, and — when the
     temporal prefetcher is STMS — the full off-chip metadata state:
     index-table buckets, history buffers (including un-spilled pack
     segments), bucket-buffer residency, stream engines, and sampler
     counters.
 
-    L1 contents are compared as sorted ``(block, dirty)`` sets so the
-    dict-backed and tag-array L1 models snapshot identically.
+    Cache contents are compared as sorted ``(block, dirty)`` sets; the
+    victim FIFOs and prefetch buffers keep their order.
     """
     hierarchy = state.hierarchy
     snap: dict = {

@@ -34,12 +34,18 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from repro.sim.engine import SimConfig, Simulator, resolve_engine
+from repro.sim.engine import (
+    SimConfig,
+    Simulator,
+    active_engine,
+    resolve_engine,
+)
 from repro.sim.metrics import SimResult
 from repro.sim.store import (
     ArtifactStore,
@@ -111,6 +117,12 @@ class SessionStats:
     sampling_sampled_cells: int = 0
     sampling_exact_cells: int = 0
     sampling_reused_cells: int = 0
+    #: Simulated events (trace records run through the engine, warm-up
+    #: included) and the seconds spent simulating them, summed over
+    #: every simulation this session (and its workers) actually ran:
+    #: their ratio is the engine's events/s.
+    sim_events: int = 0
+    sim_seconds: float = 0.0
 
 
 def _freeze(value):
@@ -396,23 +408,34 @@ class SimSession:
         results are bit-identical with or without it.
         """
         if not self.enabled:
-            with self._lock:
-                self.stats.sim_misses += 1
-            return Simulator(sim_config).run(
-                trace, temporal_factory, label=label, shared=shared
+            return self._run(
+                trace, sim_config, temporal_factory, label, shared
             )
         key = self.result_key(trace, sim_config, temporal_key, label)
         cached = self.lookup_result(key)
         if cached is not None:
             return cached
-        with self._lock:
-            self.stats.sim_misses += 1
-        result = Simulator(sim_config).run(
-            trace, temporal_factory, label=label, shared=shared
-        )
+        result = self._run(trace, sim_config, temporal_factory, label, shared)
         self._remember(key, result)
         if self.store is not None:
             self.store.save_result(result_digest(key), result)
+        return result
+
+    def _run(
+        self, trace, sim_config, temporal_factory, label, shared
+    ) -> SimResult:
+        """Simulate for real, counting the events and time it took."""
+        # A first-use kernel build is setup, not simulation time.
+        active_engine(sim_config.engine)
+        start = time.perf_counter()
+        result = Simulator(sim_config).run(
+            trace, temporal_factory, label=label, shared=shared
+        )
+        elapsed = time.perf_counter() - start
+        with self._lock:
+            self.stats.sim_misses += 1
+            self.stats.sim_events += trace.records
+            self.stats.sim_seconds += elapsed
         return result
 
     @staticmethod

@@ -547,19 +547,21 @@ class ArtifactStore:
     def save_trace(self, digest: str, trace: Trace) -> bool:
         """Persist a trace atomically; False on I/O failure."""
         path = self.trace_path(digest)
-        fd, tmp = tempfile.mkstemp(
-            dir=self._traces_dir, prefix=_TMP_PREFIX
-        )
-        os.close(fd)
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(
+                dir=self._traces_dir, prefix=_TMP_PREFIX
+            )
+            os.close(fd)
             trace.save(tmp)
             os.replace(tmp, path)
         except OSError:
             self.stats.write_errors += 1
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
             return False
         self.stats.writes += 1
         self._write_back("trace", digest, path)

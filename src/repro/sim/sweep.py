@@ -7,8 +7,6 @@ not depend on the configuration at all:
 
 * the trace itself (a cold generation costs ~2.5 s per recipe at bench
   scale),
-* the native-typed trace columns the batched engine reads
-  (``_native_columns``),
 * the STMS metadata classification — every record's index bucket and
   tag, a full vectorized pass per cell.
 
@@ -19,9 +17,9 @@ once per trace column and masked against a config axis of bucket masks
 (:func:`repro.core.index_table.stacked_metadata_columns`), so adding
 cells that share a geometry is free and adding a new geometry costs one
 cheap mask over the precomputed hash, not a new pass.  Each cell then
-runs through the existing batched engine with the shared columns
-injected (``BatchRunState`` pulls them from :class:`SweepShared` keyed
-by the prefetcher's ``metadata_geometry()``).
+runs through the native engine with the shared columns injected
+(``NativeRunState`` pulls them from :class:`SweepShared` keyed by the
+prefetcher's ``metadata_geometry()``).
 
 What is *not* shared is the simulated machine state: the cells of a
 sweep observe genuinely different cache, stream-engine, and DRAM
@@ -63,7 +61,7 @@ def sweep_enabled() -> bool:
 class SweepShared:
     """Config-independent precomputation shared by one sweep invocation.
 
-    Holds the trace and the per-geometry metadata columns.  The batched
+    Holds the trace and the per-geometry metadata columns.  The native
     engine asks for columns via :meth:`metadata_columns` keyed by the
     prefetcher's ``metadata_geometry()``; geometries registered up
     front via :meth:`precompute` are classified together in one stacked

@@ -1,14 +1,14 @@
-"""Differential fuzzing: batched engines vs. the scalar reference.
+"""Differential fuzzing: the native engine vs. the scalar reference.
 
 The equivalence suite (`test_engine_equivalence.py`) checks suite
 workloads at fixed configurations; this harness drives *randomized*
 machine configurations x trace recipes through the scalar reference
-engine and the batched engine(s), asserting **bit-identical** end state:
-per-core clocks and stats, every traffic counter, cache and victim
-contents, DRAM/MSHR state, and the complete STMS metadata state (index
-buckets, history buffers with un-spilled pack segments, bucket-buffer
-residency, stream engines, sampler counters) via
-:func:`repro.sim.metrics.snapshot_run_state`.
+engine and the native kernel engine, asserting **bit-identical** state
+at both phase boundaries: per-core clocks and stats, every traffic
+counter, cache and victim contents, DRAM/MSHR state, and the complete
+STMS metadata state (index buckets, history buffers with un-spilled
+pack segments, bucket-buffer residency, stream engines, sampler
+counters) via :func:`repro.sim.metrics.snapshot_run_state`.
 
 Each seed fully determines the case, so failures replay exactly:
 
@@ -42,12 +42,16 @@ import pytest
 from repro.core.config import StmsConfig
 from repro.memory.address import BLOCK_BYTES
 from repro.memory.hierarchy import CmpConfig
-from repro.sim.batch import BatchRunState, TagBatchRunState
-from repro.sim.engine import SimConfig, _RunState
+from repro.sim.engine import SimConfig, _RunState, run_state_class
 from repro.sim.metrics import snapshot_run_state
 from repro.sim.runner import PrefetcherKind, make_factory
 from repro.sim.timing import TimingModel
 from repro.workloads.trace import Trace
+
+#: The engine under test: the native kernel engine, or the scalar
+#: fallback when the kernel cannot be built here (CI runs the fast
+#: seeds once that way on purpose).
+CandidateState = run_state_class("native")
 
 #: Fast-tier seeds: a fixed, replayable sample across the config space.
 FAST_SEEDS = tuple(range(8))
@@ -238,7 +242,6 @@ def _run_and_snapshot(state_class, config, trace, factory, shared=None):
 
 def _check_seed(
     seed: int,
-    include_tag_engine: bool,
     allow_asymmetric: bool = False,
     force_mix: bool = False,
 ) -> None:
@@ -250,9 +253,6 @@ def _check_seed(
         trace = _random_trace(rng, cores)
     config = _random_machine(rng, cores)
 
-    engines = [BatchRunState]
-    if include_tag_engine:
-        engines.append(TagBatchRunState)
     # Each engine builds its own prefetcher from an identically seeded
     # draw (factories capture config; the sampler is seeded), so the
     # reported ``kind`` is the one actually simulated.
@@ -262,34 +262,32 @@ def _check_seed(
     reference = _run_and_snapshot(
         _RunState, config, trace, reference_factory
     )
-    for engine in engines:
-        prefetcher_rng = np.random.default_rng(seed + 1)
-        _, factory = _random_prefetcher(prefetcher_rng, cores)
-        candidate = _run_and_snapshot(engine, config, trace, factory)
-        for phase, got, want in (
-            ("warmup", candidate[0], reference[0]),
-            ("final", candidate[1], reference[1]),
-        ):
-            assert got == want, (
-                f"seed {seed} ({kind.value}): {engine.__name__} "
-                f"diverged from scalar reference at {phase} snapshot"
-            )
-        assert dataclasses.astuple(candidate[2].coverage) == (
-            dataclasses.astuple(reference[2].coverage)
+    _, factory = _random_prefetcher(np.random.default_rng(seed + 1), cores)
+    candidate = _run_and_snapshot(CandidateState, config, trace, factory)
+    for phase, got, want in (
+        ("warmup", candidate[0], reference[0]),
+        ("final", candidate[1], reference[1]),
+    ):
+        assert got == want, (
+            f"seed {seed} ({kind.value}): native engine diverged from "
+            f"scalar reference at {phase} snapshot"
         )
-        assert candidate[2].traffic == reference[2].traffic
-        assert candidate[2].elapsed_cycles == reference[2].elapsed_cycles
-        assert candidate[2].mlp == reference[2].mlp
-        assert candidate[2].miss_log == reference[2].miss_log
-        assert (
-            candidate[2].core_traffic_bytes
-            == reference[2].core_traffic_bytes
-        )
+    assert dataclasses.astuple(candidate[2].coverage) == (
+        dataclasses.astuple(reference[2].coverage)
+    )
+    assert candidate[2].traffic == reference[2].traffic
+    assert candidate[2].elapsed_cycles == reference[2].elapsed_cycles
+    assert candidate[2].mlp == reference[2].mlp
+    assert candidate[2].miss_log == reference[2].miss_log
+    assert (
+        candidate[2].core_traffic_bytes
+        == reference[2].core_traffic_bytes
+    )
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)
 def test_differential(seed):
-    _check_seed(seed, include_tag_engine=(seed % 2 == 0))
+    _check_seed(seed)
 
 
 #: Pinned fast seeds that force asymmetric mix traces, so the rate /
@@ -300,25 +298,20 @@ ASYMMETRIC_SEEDS = (101, 102, 103)
 
 @pytest.mark.parametrize("seed", ASYMMETRIC_SEEDS)
 def test_differential_asymmetric(seed):
-    _check_seed(
-        seed,
-        include_tag_engine=(seed % 2 == 0),
-        allow_asymmetric=True,
-        force_mix=True,
-    )
+    _check_seed(seed, allow_asymmetric=True, force_mix=True)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", SLOW_SEEDS)
 def test_differential_nightly(seed):
-    _check_seed(seed, include_tag_engine=True, allow_asymmetric=True)
+    _check_seed(seed, allow_asymmetric=True)
 
 
 # ----------------------------------------------------------------------
 # Sweep-shaped cases: one trace x a small random config grid through the
 # config-parallel path (sim/sweep.py shares the metadata classification
 # across the grid), asserting every cell stays deep-state-identical to
-# both the scalar reference and the plain batched engine.
+# both the scalar reference and the native engine without the sharing.
 # ----------------------------------------------------------------------
 
 
@@ -366,18 +359,19 @@ def _check_sweep_seed(seed: int, grid_size: int = 3) -> None:
     for position, cell in enumerate(cells):
         factory = make_factory(PrefetcherKind.STMS, cell)
         reference = _run_and_snapshot(_RunState, config, trace, factory)
-        batched = _run_and_snapshot(BatchRunState, config, trace, factory)
+        unshared = _run_and_snapshot(CandidateState, config, trace, factory)
         swept = _run_and_snapshot(
-            BatchRunState, config, trace, factory, shared=shared
+            CandidateState, config, trace, factory, shared=shared
         )
         for phase, index in (("warmup", 0), ("final", 1)):
             assert swept[index] == reference[index], (
                 f"seed {seed} cell {position}: config-parallel path "
                 f"diverged from scalar reference at {phase} snapshot"
             )
-            assert swept[index] == batched[index], (
+            assert swept[index] == unshared[index], (
                 f"seed {seed} cell {position}: config-parallel path "
-                f"diverged from the batched engine at {phase} snapshot"
+                f"diverged from the unshared native engine at {phase} "
+                f"snapshot"
             )
         assert swept[2].traffic == reference[2].traffic
         assert swept[2].elapsed_cycles == reference[2].elapsed_cycles
@@ -446,10 +440,11 @@ def _check_parallel_plane_seed(seed: int, grid_size: int = 4) -> None:
     cell = _random_grid_stms(rng, cores)
     factory = make_factory(PrefetcherKind.STMS, cell)
 
-    # (a) Deep-state bit-identity of the plane itself: the engine driven
-    # from a shm-attached trace (with parent-classified metadata
-    # columns adopted) must snapshot identically to the original.
-    reference = _run_and_snapshot(BatchRunState, config, trace, factory)
+    # (a) Deep-state bit-identity of the plane itself: the native
+    # engine driven from a shm-attached trace (with parent-classified
+    # metadata columns adopted) must snapshot identically to the scalar
+    # reference on the original trace.
+    reference = _run_and_snapshot(_RunState, config, trace, factory)
     geometry = (cell.index_buckets, cell.tag_bits)
     arrays = stacked_metadata_arrays(
         [np.asarray(b) for b in trace.blocks], [geometry]
@@ -461,12 +456,12 @@ def _check_parallel_plane_seed(seed: int, grid_size: int = 4) -> None:
         shared = SweepShared(attached_trace)
         shared.adopt_arrays(metadata)
         attached = _run_and_snapshot(
-            BatchRunState, config, attached_trace, factory, shared=shared
+            CandidateState, config, attached_trace, factory, shared=shared
         )
         for phase, index in (("warmup", 0), ("final", 1)):
             assert attached[index] == reference[index], (
-                f"seed {seed}: shm-attached trace diverged from the "
-                f"original at {phase} snapshot"
+                f"seed {seed}: native engine on the shm-attached trace "
+                f"diverged from the scalar reference at {phase} snapshot"
             )
         assert (
             encode_result(attached[2]) == encode_result(reference[2])
@@ -551,7 +546,7 @@ def test_snapshot_captures_stms_metadata():
     factory = make_factory(
         PrefetcherKind.STMS, StmsConfig(cores=2, history_entries=24)
     )
-    state = BatchRunState(config, trace, factory)
+    state = CandidateState(config, trace, factory)
     state.run_warmup()
     snap = snapshot_run_state(state)
     assert {"counters", "sampler", "index", "histories",

@@ -1,7 +1,7 @@
-"""Equivalence gate: the batched engines vs. the scalar reference.
+"""Equivalence gate: the native engine vs. the scalar reference.
 
-The batched engine (`repro.sim.batch`) is the production engine; the
-scalar `_RunState` is the executable specification.  These tests prove
+The native kernel engine (`repro.sim.native`) is the production engine;
+the scalar `_RunState` is the executable specification.  These tests prove
 the acceptance property: identical `SimResult` coverage and traffic
 counts (and, stronger, bit-identical clocks and every other counter)
 on suite workloads.
@@ -36,8 +36,9 @@ def _assert_identical(reference, candidate):
     assert candidate.victim_hits == reference.victim_hits
     assert candidate.l2_hits == reference.l2_hits
     assert candidate.measured_records == reference.measured_records
-    # Bit-exact, not approximate: the batched engine replicates the
-    # scalar engine's float addition order.
+    # Bit-exact, not approximate: the kernel replicates the scalar
+    # engine's float operation order (and is built without FP
+    # contraction).
     assert candidate.elapsed_cycles == reference.elapsed_cycles
     assert candidate.mlp == reference.mlp
     assert candidate.dram_utilization == reference.dram_utilization
@@ -55,17 +56,9 @@ def traces():
 @pytest.mark.parametrize(
     "kind", [PrefetcherKind.BASELINE, PrefetcherKind.STMS]
 )
-def test_batch_matches_scalar(traces, workload, kind):
+def test_native_matches_scalar(traces, workload, kind):
     reference = _run(traces[workload], "scalar", kind)
-    candidate = _run(traces[workload], "batch", kind)
-    _assert_identical(reference, candidate)
-
-
-def test_tag_array_engine_matches_scalar(traces):
-    reference = _run(traces["web-apache"], "scalar", PrefetcherKind.STMS)
-    candidate = _run(
-        traces["web-apache"], "batch-tag", PrefetcherKind.STMS
-    )
+    candidate = _run(traces[workload], "native", kind)
     _assert_identical(reference, candidate)
 
 
@@ -79,10 +72,9 @@ def test_tag_array_engine_matches_scalar(traces):
         PrefetcherKind.MARKOV,
     ],
 )
-@pytest.mark.parametrize("engine", ["batch", "batch-tag"])
-def test_full_matrix(traces, workload, kind, engine):
+def test_full_matrix(traces, workload, kind):
     reference = _run(traces[workload], "scalar", kind)
-    candidate = _run(traces[workload], engine, kind)
+    candidate = _run(traces[workload], "native", kind)
     _assert_identical(reference, candidate)
 
 
@@ -91,12 +83,12 @@ def test_miss_log_identical(traces):
         make_sim_config("test"), collect_miss_log=True
     )
     results = {}
-    for engine in ("scalar", "batch"):
+    for engine in ("scalar", "native"):
         engine_config = dataclasses.replace(config, engine=engine)
         results[engine] = Simulator(engine_config).run(
             traces["web-apache"], None, "baseline"
         )
-    assert results["batch"].miss_log == results["scalar"].miss_log
+    assert results["native"].miss_log == results["scalar"].miss_log
 
 
 def test_unknown_engine_rejected():
@@ -106,14 +98,13 @@ def test_unknown_engine_rejected():
         resolve_engine("warp-drive")
 
 
-@pytest.mark.parametrize("engine", ["batch", "batch-tag"])
-def test_cross_core_invalidation_stress(engine):
-    """Force inclusive L2 evictions to cut into classified L1-hit runs.
+def test_cross_core_invalidation_stress():
+    """Force inclusive L2 evictions to invalidate other cores' L1s.
 
-    Four cores loop over per-core hot sets (long classified runs) while
+    Four cores loop over per-core hot sets (long L1-hit runs) while
     also thrashing a shared region through a tiny L2, so evictions
-    invalidate blocks other cores' runs counted on — exercising the
-    batched engine's truncation protocol.
+    invalidate blocks other cores are about to hit on — exercising the
+    kernel's inclusive-eviction path and its L1-copies bookkeeping.
     """
     import numpy as np
 
@@ -151,9 +142,9 @@ def test_cross_core_invalidation_stress(engine):
         dataclasses.replace(config, engine="scalar")
     ).run(trace, None, "baseline")
     candidate = Simulator(
-        dataclasses.replace(config, engine=engine)
+        dataclasses.replace(config, engine="native")
     ).run(trace, None, "baseline")
     _assert_identical(reference, candidate)
     # The scenario must actually produce L1 hits and invalidations,
-    # otherwise it is not stressing the truncation path.
+    # otherwise it is not stressing the invalidation path.
     assert reference.l1_hits > 1000

@@ -6,8 +6,10 @@ mismatches invalidate stale entries, concurrent writers of one key
 cannot tear an entry (atomic rename), and eviction is LRU by recency.
 """
 
+import errno
 import json
 import os
+import tempfile
 import threading
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from repro.sim.metrics import CoverageCounts, SimResult
 from repro.memory.traffic import TrafficBreakdown
 from repro.prefetchers.base import PrefetcherStats
+from repro.sim.engine import active_engine
 from repro.sim.runner import PrefetcherKind, run_trace, run_workload
 from repro.sim.session import SimSession
 from repro.sim.store import (
@@ -450,3 +453,51 @@ class TestClearUnpinned:
         assert store.clear() == 3
         assert store.stats.pinned_skipped == 0
         assert store.entries() == []
+
+
+class TestTraceWriteFaults:
+    """A failing trace write (full disk, lost permission, failed rename)
+    must degrade to a recompute: the run finishes, ``write_errors``
+    records it, and no entry or temp file is left behind."""
+
+    @pytest.mark.parametrize(
+        "code", [errno.ENOSPC, errno.EACCES], ids=["ENOSPC", "EACCES"]
+    )
+    @pytest.mark.parametrize("call", ["mkstemp", "replace"])
+    def test_trace_write_failure_degrades_to_recompute(
+        self, tmp_path, monkeypatch, code, call
+    ):
+        store = ArtifactStore(str(tmp_path))
+        # Load the native kernel first: its first-use build also writes
+        # files, and must not run under the injected fault.
+        active_engine()
+
+        def _fail(*args, **kwargs):
+            raise OSError(code, os.strerror(code))
+
+        with monkeypatch.context() as patch:
+            if call == "mkstemp":
+                patch.setattr(tempfile, "mkstemp", _fail)
+            else:
+                patch.setattr(os, "replace", _fail)
+            session = SimSession(enabled=True, store=store)
+            result = run_workload(
+                "oltp-db2", PrefetcherKind.BASELINE, scale="test",
+                cores=2, seed=5, session=session,
+            )
+        assert store.stats.write_errors >= 1
+        assert [e for e in store.entries() if e.kind == "trace"] == []
+        for kind in ("traces", "results"):
+            assert not [
+                name for name in os.listdir(tmp_path / kind)
+                if name.startswith(".tmp-")
+            ]
+        # A fresh session finds nothing persisted: the trace is
+        # regenerated and the simulation repeats bit-identically.
+        fresh = SimSession(enabled=True, store=store)
+        again = run_workload(
+            "oltp-db2", PrefetcherKind.BASELINE, scale="test",
+            cores=2, seed=5, session=fresh,
+        )
+        assert fresh.stats.trace_misses == 1
+        assert encode_result(again) == encode_result(result)

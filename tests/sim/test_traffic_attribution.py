@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 from repro.memory.traffic import TrafficCategory
-from repro.sim.batch import BatchRunState
 from repro.sim.engine import _RunState
 from repro.sim.metrics import SimResult, per_workload_breakdown
+from repro.sim.native import NativeRunState
 from repro.sim.runner import (
     PrefetcherKind,
     make_factory,
@@ -90,7 +90,7 @@ def _run_state(state_class, config, trace, factory):
     return state.result("attribution")
 
 
-@pytest.mark.parametrize("engine", [_RunState, BatchRunState])
+@pytest.mark.parametrize("engine", [_RunState, NativeRunState])
 @pytest.mark.parametrize(
     "workload", GOLDEN_WORKLOADS + GOLDEN_MIXES
 )
@@ -129,7 +129,7 @@ def test_random_sweep_conserves_attribution(seed):
     else:
         trace = _random_trace(rng, cores)
     config = _random_machine(rng, cores)
-    for engine in (_RunState, BatchRunState):
+    for engine in (_RunState, NativeRunState):
         _, factory = _random_prefetcher(
             np.random.default_rng(seed + 1), cores
         )
@@ -147,7 +147,7 @@ def test_per_workload_breakdown_conserves_attribution():
         PrefetcherKind.STMS, make_stms_config("test", cores=2)
     )
     result = _run_state(
-        BatchRunState, make_sim_config("test"), trace, factory
+        NativeRunState, make_sim_config("test"), trace, factory
     )
     pieces = per_workload_breakdown(result)
     assert set(pieces) == {"oltp-db2*2", "sci-ocean@0.5!low"}
